@@ -48,12 +48,17 @@
 # under concurrent load, every admitted future must resolve correctly.
 # `make lint` greps for engine switches that bypass the planner
 # registry; `make ci` runs it between vet and build.
+# `make drain-floors` runs the serve drain's floors on one core and on
+# two (`-cpu 1,2`): TestServeThroughputFloor (serve ≥ 0.9× the
+# planned-parallel batch at n=4096) and TestClosedLoopPacks (a closed
+# loop of 128 concentrate submitters keeps ≥ 80% of its requests on the
+# packed replay); `make ci` runs it after bench.
 
 GO ?= go
 
-.PHONY: ci vet lint build test race serve-race bench bench-packed bench-permpacked bench-wide bench-shard bench-fault bench-frontdoor bench-zoo chaos clean
+.PHONY: ci vet lint build test race serve-race drain-floors bench bench-packed bench-permpacked bench-wide bench-shard bench-fault bench-frontdoor bench-zoo chaos clean
 
-ci: vet lint build race chaos bench
+ci: vet lint build race chaos bench drain-floors
 
 # lint fails if any switch/case over engine identities survives outside
 # the registry (internal/planner): engine dispatch must go through
@@ -87,6 +92,10 @@ serve-race:
 
 bench:
 	$(GO) test -run 'TestWideSpeedupFloor|TestRouteSpeedupFloor|TestServeThroughputFloor|TestPackedSpeedupFloor|TestPermPackedSpeedupFloor|TestBenesPackedSpeedupFloor|TestWidePackedThroughputFloor|TestShardedSpeedupFloor|TestFaultCheckerOverheadFloor|TestFrontdoorThroughputFloor|TestZooSpeedupFloor' -bench 'EvalEngines|RouteEngines|ServeThroughput|ServeFault|ZooEngines' -benchtime 1x .
+
+drain-floors:
+	$(GO) test -run 'TestServeThroughputFloor$$' -cpu 1,2 -count=1 .
+	$(GO) test -run 'TestClosedLoopPacks$$' -cpu 1,2 -count=1 ./internal/serve
 
 bench-packed:
 	$(GO) test -run 'TestPackedSpeedupFloor$$' -bench 'RouteEngines/conc' -count=1 .

@@ -22,6 +22,7 @@ package fishhw
 
 import (
 	"fmt"
+	"sync"
 
 	"absort/internal/bitvec"
 	"absort/internal/core"
@@ -39,9 +40,16 @@ type levelHW struct {
 	twoMerge *netlist.Circuit // s-input two-way mux-merger
 }
 
-// Machine is the clocked fish sorter datapath.
+// Machine is the clocked fish sorter datapath. Like the hardware it
+// models, it has one register bank and one clock: Sort, Route and
+// SortWide are safe for concurrent use, but they serialize — each run
+// holds the machine until its schedule completes.
 type Machine struct {
 	n, k int
+
+	// mu serializes runs: a run owns the register bank and the step
+	// counters from reset to the returned Stats.
+	mu sync.Mutex
 
 	inputMux    *netlist.Circuit // (n, n/k)-multiplexer
 	groupSorter *netlist.Circuit // shared n/k-input mux-merger sorter
@@ -162,6 +170,8 @@ func (m *Machine) Sort(v bitvec.Vector) (bitvec.Vector, Stats, error) {
 	if len(v) != m.n {
 		return nil, Stats{}, fmt.Errorf("fishhw: Sort with %d inputs, want %d", len(v), m.n)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.macroSteps, m.unitDelays = 0, 0
 	g := m.n / m.k
 

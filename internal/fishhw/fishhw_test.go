@@ -2,6 +2,7 @@ package fishhw
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"absort/internal/bitvec"
@@ -269,4 +270,47 @@ func TestMachineRouteArity(t *testing.T) {
 	if _, _, err := m.Route(bitvec.New(8)); err == nil {
 		t.Error("accepted wrong tag width")
 	}
+}
+
+// TestMachineConcurrentRuns shares one machine across goroutines, as
+// verify.SortsAllBinary does with its worker pool: Sort, Route and
+// SortWide serialize on the machine, so every run sorts correctly and
+// reports the stats of a lone run. Run with -race.
+func TestMachineConcurrentRuns(t *testing.T) {
+	const n, k = 16, 4
+	m, err := New(n, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := m.Sort(bitvec.New(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 40; i++ {
+				v := bitvec.Random(rng, n)
+				out, st, err := m.Sort(v)
+				if err != nil || !out.Equal(v.Sorted()) || st != want {
+					t.Errorf("concurrent Sort(%s) = %s, %+v, %v; want %s, %+v",
+						v, out, st, err, v.Sorted(), want)
+					return
+				}
+				if _, st, err := m.Route(v); err != nil || st != want {
+					t.Errorf("concurrent Route(%s) stats %+v, %v; want %+v", v, st, err, want)
+					return
+				}
+				wide, st, err := m.SortWide([]bitvec.Vector{v, v.Complement()})
+				if err != nil || !wide[0].Equal(v.Sorted()) || st != want {
+					t.Errorf("concurrent SortWide(%s) stats %+v, %v; want %+v", v, st, err, want)
+					return
+				}
+			}
+		}(int64(300 + g))
+	}
+	wg.Wait()
 }

@@ -18,6 +18,8 @@ func (m *Machine) Route(tags bitvec.Vector) ([]int, Stats, error) {
 	if len(tags) != m.n {
 		return nil, Stats{}, fmt.Errorf("fishhw: Route with %d tags, want %d", len(tags), m.n)
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.macroSteps, m.unitDelays = 0, 0
 	g := m.n / m.k
 

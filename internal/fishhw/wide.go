@@ -80,6 +80,8 @@ func (m *Machine) SortWide(vs []bitvec.Vector) ([]bitvec.Vector, Stats, error) {
 			return nil, Stats{}, fmt.Errorf("fishhw: SortWide vector %d has %d inputs, want %d", i, len(v), m.n)
 		}
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.macroSteps, m.unitDelays = 0, 0
 	g := m.n / m.k
 

@@ -19,7 +19,8 @@ import (
 
 // TestStatsTornSnapshotInvariant hammers Stats() under concurrent
 // submission and resolution: every snapshot, however torn, must satisfy
-// Submitted ≥ Completed + InFlight (and InFlight ≥ 0). Before the fix,
+// Submitted ≥ Completed + InFlight (and InFlight ≥ 0), and Packed ≤
+// Completed. Before the fix,
 // Submitted was incremented after the queue send and loaded before
 // Completed, so a worker racing ahead of its submitter produced
 // snapshots with Submitted < Completed.
@@ -45,7 +46,8 @@ func TestStatsTornSnapshotInvariant(t *testing.T) {
 			defer snappers.Done()
 			for !stop.Load() {
 				st := s.Stats()
-				if st.InFlight < 0 || st.Submitted < st.Completed+st.InFlight {
+				if st.InFlight < 0 || st.Submitted < st.Completed+st.InFlight ||
+					st.Packed > st.Completed {
 					violations.Add(1)
 					snapErr.Store(st)
 				}
@@ -92,7 +94,7 @@ func TestStatsTornSnapshotInvariant(t *testing.T) {
 	snappers.Wait()
 
 	if v := violations.Load(); v != 0 {
-		t.Fatalf("%d torn snapshots violated Submitted >= Completed + InFlight; last: %+v",
+		t.Fatalf("%d torn snapshots violated Submitted >= Completed + InFlight or Packed <= Completed; last: %+v",
 			v, snapErr.Load())
 	}
 	st := s.Stats()
@@ -203,7 +205,8 @@ func TestBurstTailNotStarved(t *testing.T) {
 
 // TestBurstConsecutiveKindCap pins the sustained-stream fairness bound:
 // after maxConsecBursts consecutive full-width same-kind bursts, further
-// same-kind drains are capped at one lane word until the streak breaks.
+// same-kind drains are capped at one lane word until the streak breaks;
+// a remainder too short to pack is then claimed one task at a time.
 // A pre-filled queue and a single worker make the burst sequence exact.
 func TestBurstConsecutiveKindCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -263,7 +266,12 @@ func TestBurstConsecutiveKindCap(t *testing.T) {
 	defer mu.Unlock()
 	want := []int{burstLanes, burstLanes, burstLanes, burstLanes,
 		concentrator.PackedLanes, concentrator.PackedLanes,
-		concentrator.PackedLanes, concentrator.PackedLanes, 20}
+		concentrator.PackedLanes, concentrator.PackedLanes}
+	// The 20-task remainder is too short to pack: each claim routes one
+	// task and leaves the rest queued (see enoughToPack).
+	for i := 0; i < 20; i++ {
+		want = append(want, 1)
+	}
 	if len(sizes) != len(want) {
 		t.Fatalf("burst sizes %v, want %v", sizes, want)
 	}

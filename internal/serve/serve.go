@@ -29,11 +29,17 @@
 //
 // Under a request burst the service additionally matches the packed
 // batch pipelines: a worker that picks up a Concentrate or Permute
-// request greedily drains further queued requests of the same kind
+// request looks at the queue. If at least MinPackedLanes − 1 requests
+// wait behind it — after one runtime.Gosched when the first look comes
+// up short, so that callers just woken by this worker's resolutions can
+// resubmit — it greedily drains further queued requests of the same kind
 // (never blocking) and, when the drained group is at least
 // MinPackedLanes wide, routes the whole group through one SWAR plan
 // replay (ConcentratePacked / RoutePacked) — up to burstLanes requests
-// per replay, riding the packed engine's multi-word lane planes. The
+// per replay, riding the packed engine's multi-word lane planes. If the
+// queue is still short, the worker routes only its own request and
+// leaves the rest to the other workers: a group too small to pack would
+// otherwise run serially on one worker while the others sit idle. The
 // drain is fair across kinds: an other-kind request that ends a drain
 // executes before the burst's wide replay, and a sustained single-kind
 // stream has its burst width capped after maxConsecBursts consecutive
@@ -240,6 +246,8 @@ type task struct {
 	ctx       context.Context
 	fut       *Future
 	submitted time.Time
+	// packed marks a task routed by a packed burst replay (Stats.Packed).
+	packed bool
 }
 
 // Service is a streaming routing service: a bounded admission queue in
@@ -525,8 +533,10 @@ func (s *Service) Close() {
 // worker drains the admission queue until it is closed and empty. With
 // the matching packed fast path enabled, a Concentrate or Permute task
 // triggers a greedy non-blocking drain of further queued tasks of the
-// same kind so the group rides one SWAR plan replay. Two fairness rules
-// keep a sustained single-kind stream from starving the other kinds:
+// same kind so the group rides one SWAR plan replay — but only when the
+// queue holds enough to fill one (see enoughToPack); otherwise the task
+// routes alone and the queue is left to the other workers. Two fairness
+// rules keep a sustained single-kind stream from starving the other kinds:
 // the drain's other-kind tail executes BEFORE the burst's packed replay
 // (one scalar route delays the burst; a wide replay could expire the
 // tail's deadline), and after maxConsecBursts consecutive full-width
@@ -568,7 +578,10 @@ func (s *Service) worker() {
 			limit = concentrator.PackedLanes
 		}
 		burst = append(burst[:0], t)
-		tail := s.drainKind(kind, &burst, limit)
+		var tail *task
+		if s.enoughToPack() {
+			tail = s.drainKind(kind, &burst, limit)
+		}
 		if tail != nil {
 			// Age/deadline protection: the tail is the lone other-kind
 			// request this worker claimed — run it before the wide replay
@@ -596,12 +609,29 @@ func (s *Service) worker() {
 	}
 }
 
+// enoughToPack reports whether the queue holds enough tasks behind a
+// just-taken packable task to fill a packed replay (MinPackedLanes − 1
+// more). A short queue gets one processor yield and a second look: in a
+// closed loop a channel send hands the task straight to a parked worker,
+// which then wakes to an empty queue before the callers its own
+// resolutions woke have resubmitted. A queue still short after the yield
+// is left alone — the worker routes only its own task, and the rest stay
+// queued for the idle workers instead of running serially on this one.
+func (s *Service) enoughToPack() bool {
+	const want = planner.MinPackedLanes - 1
+	if len(s.queue) >= want {
+		return true
+	}
+	runtime.Gosched()
+	return len(s.queue) >= want
+}
+
 // drainKind greedily claims further queued tasks of the same kind up to
-// limit, never blocking: under a request burst the queue is hot and the
-// claimed group rides one packed plan replay; on an idle queue the
-// select falls through immediately and the single task routes on the
-// per-request path. Claim order matches queue order, so burst tasks
-// execute in FIFO order. The first other-kind task claimed, if any, ends
+// limit, never blocking: the worker calls it only when enoughToPack saw
+// a hot queue, and the claimed group rides one packed plan replay; if the
+// queue empties first the select falls through and a group too narrow to
+// pack takes the per-request path. Claim order matches queue order, so
+// burst tasks execute in FIFO order. The first other-kind task claimed, if any, ends
 // the drain and is returned — the worker executes it BEFORE the burst's
 // packed replay (see worker), the one deliberate FIFO inversion.
 func (s *Service) drainKind(kind Kind, burst *[]*task, limit int) *task {
@@ -685,6 +715,7 @@ func (s *Service) execConcentrateBurst(burst []*task, marked [][]bool) {
 		return
 	}
 	for i, t := range live {
+		t.packed = true
 		s.finish(t, inst, Result{Perm: perms[i], Count: counts[i]}, nil)
 	}
 }
@@ -753,6 +784,7 @@ func (s *Service) execPermuteBurst(burst []*task, dests [][]int) {
 		return
 	}
 	for i, t := range live {
+		t.packed = true
 		s.finish(t, inst, Result{Perm: perms[i]}, nil)
 	}
 }
@@ -796,15 +828,20 @@ func (s *Service) execRouted(t *task) {
 }
 
 // resolve publishes a task's outcome exactly once and records it in the
-// service counters and latency histogram.
+// service counters and latency histogram. The counters are updated
+// before the Future is closed, so a caller that has seen its Future
+// resolve also sees it in Stats.
 func (s *Service) resolve(t *task, res Result, err error) {
-	t.fut.res, t.fut.err = res, err
-	close(t.fut.done)
 	s.stats.completed.Add(1)
+	if t.packed {
+		s.stats.packed.Add(1) // after completed: see Stats
+	}
 	if err != nil {
 		s.stats.failed.Add(1)
 	}
 	s.stats.observe(time.Since(t.submitted))
+	t.fut.res, t.fut.err = res, err
+	close(t.fut.done)
 }
 
 // route replays the request through the current plan instance of its

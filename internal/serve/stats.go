@@ -26,6 +26,7 @@ type statsCounters struct {
 	completed atomic.Int64
 	rejected  atomic.Int64
 	failed    atomic.Int64
+	packed    atomic.Int64
 
 	// Fault-tolerance counters (see fault.go).
 	checked         atomic.Int64
@@ -75,6 +76,11 @@ type Stats struct {
 	//
 	// even when taken mid-resolve under concurrent load.
 	Submitted, Completed, Rejected, Failed, InFlight int64
+	// Packed counts the Completed requests routed by a packed burst
+	// replay (one SWAR plan pass shared by a drained group); the other
+	// Completed − Packed took the per-request path. Every snapshot
+	// satisfies Packed ≤ Completed.
+	Packed int64
 	// Latency[0] counts completions that resolved within the clock's
 	// resolution (exactly 0 ns); Latency[i] for i ≥ 1 counts completions
 	// with submit-to-resolve latency in [2^(i-1), 2^i) ns.
@@ -98,9 +104,13 @@ type Stats struct {
 // already read; InFlight is then derived from those same two loads
 // instead of being a third counter that could tear against them, and
 // clamped against the one transient that remains (a rolled-back
-// admission between the two loads).
+// admission between the two loads). Packed is loaded before Completed and
+// each task adds to it after adding to Completed, so Packed ≤ Completed
+// holds in every snapshot as well.
 func (s *Service) Stats() Stats {
+	packed := s.stats.packed.Load()
 	st := Stats{
+		Packed:       packed,
 		Completed:    s.stats.completed.Load(),
 		Rejected:     s.stats.rejected.Load(),
 		Failed:       s.stats.failed.Load(),

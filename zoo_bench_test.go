@@ -43,8 +43,9 @@ var zooBench struct {
 	records []zooBenchRecord
 }
 
-// recordZooBench stores a measurement and rewrites BENCH_zoo.json with
-// everything collected so far (the final sub-run leaves the full table).
+// recordZooBench stores a measurement and, on benchmark runs (see
+// benchRun), rewrites BENCH_zoo.json with everything collected so far
+// (the final sub-run leaves the full table).
 func recordZooBench(engine, path string, n int, ns float64) {
 	zooBench.Lock()
 	defer zooBench.Unlock()
@@ -60,6 +61,9 @@ func recordZooBench(engine, path string, n int, ns float64) {
 }
 
 func writeZooBench() {
+	if !benchRun() {
+		return
+	}
 	data, err := json.MarshalIndent(zooBench.records, "", "  ")
 	if err != nil {
 		return
