@@ -47,7 +47,8 @@
 # race-enabled fault drill: stuck-at faults wedged into a live service
 # under concurrent load, every admitted future must resolve correctly.
 # `make lint` greps for engine switches that bypass the planner
-# registry; `make ci` runs it between vet and build.
+# registry and for batch loops that bypass planner.DriveBatch; `make ci`
+# runs it between vet and build.
 # `make drain-floors` runs the serve drain's floors on one core and on
 # two (`-cpu 1,2`): TestServeThroughputFloor (serve ≥ 0.9× the
 # planned-parallel batch at n=4096) and TestClosedLoopPacks (a closed
@@ -63,7 +64,10 @@ ci: vet lint build race chaos bench drain-floors
 # lint fails if any switch/case over engine identities survives outside
 # the registry (internal/planner): engine dispatch must go through
 # planner.Lookup / EngineSpec so newly registered engines reach every
-# layer. Test files are exempt (they pin specific engines on purpose).
+# layer. It also fails on any planner.RunBatch or AutoWideLanes call
+# outside internal/planner: the planned-vs-packed batch policy lives in
+# planner.DriveBatch alone. Test files are exempt (they pin specific
+# engines and executors on purpose).
 lint:
 	@matches=$$(grep -rn --include='*.go' --exclude='*_test.go' \
 		-E 'switch [a-zA-Z_.]*[Ee]ngine|case (concentrator|planner)\.(MuxMerger|PrefixAdder|Fish|Ranking)\b' \
@@ -71,6 +75,14 @@ lint:
 	if [ -n "$$matches" ]; then \
 		echo "$$matches"; \
 		echo 'lint: engine switch outside the planner registry — dispatch through planner.Lookup instead'; \
+		exit 1; \
+	fi
+	@matches=$$(grep -rn --include='*.go' --exclude='*_test.go' \
+		-E 'planner\.RunBatch\(|AutoWideLanes\(' \
+		. | grep -v 'internal/planner/' || true); \
+	if [ -n "$$matches" ]; then \
+		echo "$$matches"; \
+		echo 'lint: batch executor choice outside the planner — route batches through planner.DriveBatch instead'; \
 		exit 1; \
 	fi
 

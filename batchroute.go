@@ -21,7 +21,7 @@ type BatchPermuter struct {
 	plan *permnet.RoutePlan
 	// sharded is engaged at n ≥ ShardedAutoThreshold: requests route
 	// through the w-way sharded decomposition and the flat fused plan is
-	// only compiled if one of the explicit flat-path methods asks for it.
+	// never compiled.
 	sharded *permnet.ShardedRoutePlan
 }
 
@@ -56,16 +56,6 @@ func NewBatchPermuter(n int, engine Engine) (*BatchPermuter, error) {
 		b.plan = rp.Compile()
 	}
 	return b, nil
-}
-
-// flatPlan returns the flat fused route plan, compiling it on first use
-// (the auto-sharded constructor skips it; RadixPermuter.Compile caches
-// behind an atomic pointer, so concurrent calls stay race-free).
-func (b *BatchPermuter) flatPlan() *permnet.RoutePlan {
-	if b.plan != nil {
-		return b.plan
-	}
-	return b.rp.Compile()
 }
 
 // N returns the network width.
@@ -112,68 +102,18 @@ func (b *BatchPermuter) Shards() int {
 	return b.sharded.Shards()
 }
 
-// RouteSharded routes dest through the w-way sharded plan regardless of
-// the auto-engage threshold: the cross-shard exchange fans packets into
-// w windows of n/w, and one shared sub-program finishes every window —
-// as w SWAR lanes of a single packed replay when w is at least the
-// packed break-even. shards ≤ 0 selects the default decomposition
-// (permnet.DefaultShards); otherwise it must be a power of two with
-// 2 ≤ shards ≤ n/2. Results are bit-for-bit identical to Route.
-func (b *BatchPermuter) RouteSharded(dest []int, shards int) ([]int, error) {
-	sp, err := b.rp.Sharded(shards)
-	if err != nil {
-		return nil, err
-	}
-	return sp.Route(dest)
-}
-
-// RouteShardedBatch is RouteSharded over a batch of assignments, workers
-// goroutines wide (≤ 0 means GOMAXPROCS): full groups of requests ride
-// one wide packed sub-replay each (g·w lanes).
-func (b *BatchPermuter) RouteShardedBatch(dests [][]int, workers, shards int) ([][]int, error) {
-	sp, err := b.rp.Sharded(shards)
-	if err != nil {
-		return nil, err
-	}
-	return sp.RouteBatch(dests, workers)
-}
-
 // RouteBatch routes every assignment concurrently using workers
 // goroutines (≤ 0 means GOMAXPROCS). Results preserve input order.
 // Batches at least PackedLanes wide automatically route whole lane
 // groups per plan replay through the SWAR lane-packed engine — widened
-// up to MaxPackedLanes assignments per replay when the batch keeps every
-// worker busy anyway; results are bit-for-bit identical to the
-// per-assignment path.
+// to several lane words per replay when the batch keeps every worker
+// busy anyway; results are bit-for-bit identical to the per-assignment
+// path.
 func (b *BatchPermuter) RouteBatch(dests [][]int, workers int) ([][]int, error) {
 	if b.sharded != nil {
 		return b.sharded.RouteBatch(dests, workers)
 	}
 	return b.plan.RouteBatch(dests, workers)
-}
-
-// RouteBatchWide is RouteBatch with an explicit lane-group width:
-// groupLanes must be a positive multiple of PackedLanes up to
-// MaxPackedLanes. It pins the packed engine's multi-word replay width
-// instead of letting the batch auto-tune it — the knob the wide-packing
-// benchmarks and cmd/permroute -lanes expose.
-func (b *BatchPermuter) RouteBatchWide(dests [][]int, workers, groupLanes int) ([][]int, error) {
-	return b.flatPlan().RouteBatchWide(dests, workers, groupLanes)
-}
-
-// RouteBatchPlanned is RouteBatch pinned to the per-assignment planned
-// path — the baseline the packed engine's throughput is measured
-// against. Results are identical to RouteBatch.
-func (b *BatchPermuter) RouteBatchPlanned(dests [][]int, workers int) ([][]int, error) {
-	return b.flatPlan().RouteBatchPlanned(dests, workers)
-}
-
-// RoutePacked routes up to MaxPackedLanes destination assignments
-// through one SWAR plan replay, writing the realized permutations into
-// out (one length-n slice per assignment). It is the explicit
-// single-lane-group form of RouteBatch's packed fast path.
-func (b *BatchPermuter) RoutePacked(out [][]int, dests [][]int) error {
-	return b.flatPlan().RoutePacked(out, dests)
 }
 
 // BatchConcentrator routes many concentration requests through one
@@ -240,20 +180,12 @@ func (b *BatchConcentrator) ConcentrateInto(p []int, marked []bool) (int, error)
 // workers goroutines (≤ 0 means GOMAXPROCS), returning the permutations
 // and request counts in input order. Batches at least PackedLanes wide
 // automatically route whole lane groups per plan replay through the SWAR
-// lane-packed engine — widened up to MaxPackedLanes patterns per replay
-// when the batch keeps every worker busy anyway (except on
-// EngineRanking, whose stable partition gains nothing from packing);
-// results are bit-for-bit identical to the per-pattern path.
+// lane-packed engine — widened to several lane words per replay when
+// the batch keeps every worker busy anyway (except on EngineRanking,
+// whose stable partition gains nothing from packing); results are
+// bit-for-bit identical to the per-pattern path.
 func (b *BatchConcentrator) ConcentrateBatch(marked [][]bool, workers int) ([][]int, []int, error) {
 	return b.c.ConcentrateBatch(marked, workers)
-}
-
-// ConcentrateBatchWide is ConcentrateBatch with an explicit lane-group
-// width: groupLanes must be a positive multiple of PackedLanes up to
-// MaxPackedLanes — the explicit counterpart of the auto-tuned width, for
-// benchmarking and width-pinned serving.
-func (b *BatchConcentrator) ConcentrateBatchWide(marked [][]bool, workers, groupLanes int) ([][]int, []int, error) {
-	return b.c.ConcentrateBatchWide(marked, workers, groupLanes)
 }
 
 // Packed lane-group widths of the SWAR batch engine (see
@@ -283,22 +215,3 @@ type PlanCacheStats = planner.CacheStats
 
 // SharedPlanCacheStats snapshots the process-wide plan cache counters.
 func SharedPlanCacheStats() PlanCacheStats { return planner.Shared.Stats() }
-
-// ConcentratePacked routes up to MaxPackedLanes request patterns through
-// one SWAR plan replay, writing the permutations into perms and the
-// request counts into counts (all length n, one per pattern). It is the
-// explicit single-lane-group form of ConcentrateBatch's packed fast
-// path — exactly the results len(marked) ConcentrateInto calls would
-// produce, at a fraction of the data movement.
-func (b *BatchConcentrator) ConcentratePacked(perms [][]int, counts []int, marked [][]bool) error {
-	return b.c.ConcentratePacked(perms, counts, marked)
-}
-
-// SortWordsBatch sorts many independent key sets through one WordSorter's
-// compiled route plan, workers goroutines wide (≤ 0 means GOMAXPROCS):
-// the batch front door to the Section I word-sorting decomposition. It
-// returns, in input order, the sorted keys and the receives-from
-// permutations.
-func SortWordsBatch(s *WordSorter, keySets [][]uint64, workers int) ([][]uint64, [][]int, error) {
-	return s.SortBatch(keySets, workers)
-}

@@ -151,8 +151,8 @@ func TestBatchRouteValidation(t *testing.T) {
 	}
 }
 
-// TestSortWordsBatch checks the public word-sort batch front door against
-// per-set sorting.
+// TestSortWordsBatch checks the public word-sort batch front door,
+// WordSorter.SortBatch, against per-set sorting.
 func TestSortWordsBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	s, err := absort.NewWordSorter(32, 8, absort.EngineFish)
@@ -166,7 +166,7 @@ func TestSortWordsBatch(t *testing.T) {
 			sets[i][j] = uint64(rng.Intn(256))
 		}
 	}
-	keys, perms, err := absort.SortWordsBatch(s, sets, 0)
+	keys, perms, err := s.SortBatch(sets, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,12 @@
 // request executes on pooled per-plan scratch (at most one scratch state
 // live per worker at a time), so a batch performs no per-request
 // allocation beyond the returned permutations, which are carved out of one
-// flat backing array.
+// flat backing array. planner.DriveBatch decides per batch between the
+// per-request and the packed path.
 package concentrator
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"absort/internal/bitvec"
 	"absort/internal/planner"
@@ -36,23 +36,11 @@ func (p *Plan) RouteBatch(tagsBatch []bitvec.Vector, workers int) ([][]int, erro
 				p.n, i, len(tags))
 		}
 	}
-	out := make([][]int, len(tagsBatch))
-	flat := make([]int, len(tagsBatch)*p.n)
-	for i := range out {
-		out[i] = flat[i*p.n : (i+1)*p.n]
-	}
-	var firstErr atomic.Pointer[batchErr]
-	runBatch(len(tagsBatch), workers, func(i int) bool {
-		if err := p.RouteInto(out[i], tagsBatch[i]); err != nil {
-			// Unreachable after the up-front validation, but kept on the
-			// same fail-fast error path as ConcentrateBatch for defense.
-			recordBatchErr(&firstErr, i, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, fmt.Errorf("concentrator: batch vector %d: %w", e.I, e.Err)
+	out, _ := makeBatchResults(len(tagsBatch), p.n)
+	err := planner.DriveBatch(len(tagsBatch), workers, batchGrain, 1, 0, false, "concentrator: batch vector",
+		func(i int) error { return p.RouteInto(out[i], tagsBatch[i]) }, nil)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -65,22 +53,16 @@ func (p *Plan) RouteBatch(tagsBatch []bitvec.Vector, workers int) ([][]int, erro
 // remaining work is abandoned, and err reports the earliest offending
 // pattern among those attempted.
 //
-// Batches at least one lane group wide (≥ 64 patterns) automatically
-// switch to the SWAR engine: full groups route through
-// ConcentratePacked — one plan replay per group, widened up to
-// planner.WideWords×64 patterns when the batch keeps every worker busy
-// anyway (see planner.AutoWideLanes) — and a remainder narrower than
-// MinPackedLanes falls back to the planned path. Engines the registry
-// marks packed-unprofitable (the Ranking baseline: its single stable
-// partition gains nothing from lane packing) always take the planned
-// path, and a plan whose step stream has no packed form
-// (planner.ErrNotPackable) falls back to planned cleanly. Results are
-// bit-for-bit identical either way.
+// planner.DriveBatch picks the path: batches at least one lane word
+// wide (≥ 64 patterns) route through the SWAR engine, one plan replay per
+// lane group of planner.PackedGroup patterns, with a remainder narrower
+// than MinPackedLanes on the planned path. Engines the registry marks
+// packed-unprofitable (the Ranking baseline: its single stable partition
+// gains nothing from lane packing) always take the planned path, and so
+// does a plan whose step stream has no packed form
+// (planner.ErrNotPackable). Results are bit-for-bit identical either way.
 func (c *Concentrator) ConcentrateBatch(markedBatch [][]bool, workers int) ([][]int, []int, error) {
-	if len(markedBatch) >= PackedLanes && planner.PackedProfitable(c.engine) {
-		return c.ConcentrateBatchWide(markedBatch, workers, planner.AutoWideLanes(len(markedBatch), workers))
-	}
-	return c.ConcentrateBatchPlanned(markedBatch, workers)
+	return c.concentrateBatch(markedBatch, workers, 0, planner.PackedProfitable(c.engine) && c.packable())
 }
 
 // ConcentrateBatchWide is ConcentrateBatch with an explicit lane-group
@@ -93,15 +75,7 @@ func (c *Concentrator) ConcentrateBatchWide(markedBatch [][]bool, workers, group
 		return nil, nil, fmt.Errorf("concentrator: ConcentrateBatchWide: group width %d, want a multiple of %d up to %d",
 			groupLanes, PackedLanes, MaxPackedLanes)
 	}
-	if len(markedBatch) == 0 {
-		return nil, nil, nil
-	}
-	if plan, err := c.compileChecked(); err != nil {
-		return nil, nil, err
-	} else if _, err := plan.Packed(); err != nil {
-		return c.ConcentrateBatchPlanned(markedBatch, workers)
-	}
-	return c.concentrateBatchPacked(markedBatch, workers, groupLanes)
+	return c.concentrateBatch(markedBatch, workers, groupLanes, c.packable())
 }
 
 // ConcentrateBatchPlanned is the per-request planned batch pipeline:
@@ -110,63 +84,36 @@ func (c *Concentrator) ConcentrateBatchWide(markedBatch [][]bool, workers, group
 // packed threshold, and the baseline the packed engine's throughput
 // floor is measured against.
 func (c *Concentrator) ConcentrateBatchPlanned(markedBatch [][]bool, workers int) ([][]int, []int, error) {
+	return c.concentrateBatch(markedBatch, workers, 0, false)
+}
+
+// packable reports whether the compiled plan has a packed form.
+func (c *Concentrator) packable() bool {
+	plan, err := c.compileChecked()
+	// A plan that fails to compile routes per pattern, which reports the
+	// compile error.
+	return err == nil && plan.prog.Packable()
+}
+
+// concentrateBatch is the batch body of every ConcentrateBatch entry
+// point: one planner.DriveBatch call over ConcentrateInto per pattern and
+// one packed replay per lane group.
+func (c *Concentrator) concentrateBatch(markedBatch [][]bool, workers, groupLanes int, packable bool) ([][]int, []int, error) {
 	if len(markedBatch) == 0 {
 		return nil, nil, nil
 	}
 	out, rs := makeBatchResults(len(markedBatch), c.n)
-	var firstErr atomic.Pointer[batchErr]
-	runBatch(len(markedBatch), workers, func(i int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		r, err := c.ConcentrateInto(out[i], markedBatch[i])
-		if err != nil {
-			recordBatchErr(&firstErr, i, err)
-			return false
-		}
-		rs[i] = r
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, nil, fmt.Errorf("concentrator: batch pattern %d: %w", e.I, e.Err)
-	}
-	return out, rs, nil
-}
-
-// concentrateBatchPacked carves the batch into groupLanes-pattern lane
-// groups and routes every full group through one packed plan replay; a
-// final remainder below MinPackedLanes routes per-pattern on the planned
-// path. Groups are distributed across workers exactly as the planned
-// pipeline distributes single patterns.
-func (c *Concentrator) concentrateBatchPacked(markedBatch [][]bool, workers, groupLanes int) ([][]int, []int, error) {
-	out, rs := makeBatchResults(len(markedBatch), c.n)
-	groups := (len(markedBatch) + groupLanes - 1) / groupLanes
-	var firstErr atomic.Pointer[batchErr]
-	runBatch(groups, workers, func(g int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		lo := g * groupLanes
-		hi := min(lo+groupLanes, len(markedBatch))
-		if hi-lo < MinPackedLanes {
-			for i := lo; i < hi; i++ {
-				r, err := c.ConcentrateInto(out[i], markedBatch[i])
-				if err != nil {
-					recordBatchErr(&firstErr, i, err)
-					return false
-				}
-				rs[i] = r
-			}
-			return true
-		}
-		if idx, err := c.concentratePackedAt(out[lo:hi], rs[lo:hi], markedBatch[lo:hi], lo); err != nil {
-			recordBatchErr(&firstErr, idx, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, nil, e.Err
+	err := planner.DriveBatch(len(markedBatch), workers, batchGrain, 1, groupLanes, packable, "concentrator: batch pattern",
+		func(i int) (err error) {
+			rs[i], err = c.ConcentrateInto(out[i], markedBatch[i])
+			return err
+		},
+		func(lo, hi int) (int, error) {
+			l, err := c.concentrateLanes(out[lo:hi], rs[lo:hi], markedBatch[lo:hi])
+			return lo + max(l, 0), err
+		})
+	if err != nil {
+		return nil, nil, err
 	}
 	return out, rs, nil
 }
@@ -180,20 +127,4 @@ func makeBatchResults(batch, n int) ([][]int, []int) {
 		out[i] = flat[i*n : (i+1)*n]
 	}
 	return out, make([]int, batch)
-}
-
-// batchErr records the earliest failing request of a batch.
-type batchErr = planner.BatchErr
-
-// recordBatchErr CAS-publishes err for request i unless an earlier
-// request already failed (see planner.RecordBatchErr).
-func recordBatchErr(firstErr *atomic.Pointer[batchErr], i int, err error) {
-	planner.RecordBatchErr(firstErr, i, err)
-}
-
-// runBatch executes fn(0..n-1) across workers goroutines with an atomic
-// work cursor claiming batchGrain items at a time, with fail-fast abort —
-// the shared batch executor of internal/planner.
-func runBatch(n, workers int, fn func(i int) bool) {
-	planner.RunBatch(n, workers, batchGrain, fn)
 }

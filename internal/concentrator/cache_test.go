@@ -136,7 +136,7 @@ func TestRunBatchAborts(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		const n = 10_000
 		var executed atomic.Int64
-		runBatch(n, workers, func(i int) bool {
+		planner.RunBatch(n, workers, batchGrain, func(i int) bool {
 			if i == 0 {
 				return false // poison the very first item
 			}

@@ -191,41 +191,43 @@ func (pp *PackedPlan) RouteLanes(out [][]int, tagsBatch []bitvec.Vector) error {
 // offending pattern (the same message ConcentrateBatch reports) before
 // any routing starts; it never panics.
 func (c *Concentrator) ConcentratePacked(perms [][]int, counts []int, markedBatch [][]bool) error {
-	_, err := c.concentratePackedAt(perms, counts, markedBatch, 0)
+	l, err := c.concentrateLanes(perms, counts, markedBatch)
+	if err != nil && l >= 0 {
+		return fmt.Errorf("concentrator: batch pattern %d: %w", l, err)
+	}
 	return err
 }
 
-// concentratePackedAt is ConcentratePacked with the patterns' global
-// batch offset (for error messages of grouped batch execution); it
-// returns the global index of the offending pattern alongside the error.
-func (c *Concentrator) concentratePackedAt(perms [][]int, counts []int, markedBatch [][]bool, base int) (int, error) {
+// concentrateLanes is ConcentratePacked without the pattern prefix: a
+// failing pattern returns its lane index and ConcentrateInto's error
+// text, so the batch driver can name it by its global index; an error
+// about the call as a whole returns lane −1.
+func (c *Concentrator) concentrateLanes(perms [][]int, counts []int, markedBatch [][]bool) (int, error) {
 	lanes := len(markedBatch)
 	if lanes == 0 || lanes > MaxPackedLanes {
-		return base, fmt.Errorf("concentrator: ConcentratePacked: %d patterns, want 1..%d",
+		return -1, fmt.Errorf("concentrator: ConcentratePacked: %d patterns, want 1..%d",
 			lanes, MaxPackedLanes)
 	}
 	if len(perms) != lanes || len(counts) != lanes {
-		return base, fmt.Errorf("concentrator: ConcentratePacked: %d permutations and %d counts for %d patterns",
+		return -1, fmt.Errorf("concentrator: ConcentratePacked: %d permutations and %d counts for %d patterns",
 			len(perms), len(counts), lanes)
 	}
 	plan, err := c.compileChecked()
 	if err != nil {
-		return base, err
+		return -1, err
 	}
 	for l, marked := range markedBatch {
 		if len(marked) != c.n {
-			return base + l, fmt.Errorf("concentrator: batch pattern %d: concentrator: %d requests for %d inputs",
-				base+l, len(marked), c.n)
+			return l, fmt.Errorf("concentrator: %d requests for %d inputs", len(marked), c.n)
 		}
 		if len(perms[l]) != c.n {
-			return base + l, fmt.Errorf("concentrator: batch pattern %d: concentrator: permutation buffer of %d for %d inputs",
-				base+l, len(perms[l]), c.n)
+			return l, fmt.Errorf("concentrator: permutation buffer of %d for %d inputs", len(perms[l]), c.n)
 		}
 	}
 	words := (lanes + PackedLanes - 1) / PackedLanes
 	eng, err := plan.prog.Packed(words)
 	if err != nil {
-		return base, err
+		return -1, err
 	}
 	sc := eng.Get()
 	tw := sc.Tmp[:words*c.n] // borrow copy scratch for the packed tag words
@@ -252,8 +254,7 @@ func (c *Concentrator) concentratePackedAt(perms [][]int, counts []int, markedBa
 		}
 		if r > c.m {
 			eng.Put(sc)
-			return base + l, fmt.Errorf("concentrator: batch pattern %d: concentrator: %d requests exceed capacity %d",
-				base+l, r, c.m)
+			return l, fmt.Errorf("concentrator: %d requests exceed capacity %d", r, c.m)
 		}
 		counts[l] = r
 	}

@@ -294,16 +294,36 @@ func TestPackedErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "exceed capacity") {
 		t.Errorf("ConcentratePacked over-capacity error = %v", err)
 	}
-	// The batch front door reports the packed path's failures with the
-	// global pattern index, identically to the planned path.
-	batch := make([][]bool, PackedLanes)
-	for i := range batch {
-		batch[i] = make([]bool, n)
+	// The batch front door reports failures with the global pattern
+	// index, identically to the planned path — whether the bad pattern
+	// rides a packed group or the planned remainder after the last one.
+	eight := make([]bool, n) // 8 marks: over the capacity 4 of c4
+	for i := 0; i < 8; i++ {
+		eight[i] = true
 	}
-	batch[70%len(batch)] = over
-	if _, _, err := c.ConcentrateBatch(batch, 2); err == nil ||
-		!strings.Contains(err.Error(), "pattern 6:") {
-		t.Errorf("ConcentrateBatch packed-path error = %v", err)
+	c4 := New(n, 4, MuxMerger, 0)
+	for _, tc := range []struct {
+		name       string
+		c          *Concentrator
+		size, bad  int
+		pattern    []bool
+		wantSubstr string
+	}{
+		{"packed group", c, PackedLanes, 70 % PackedLanes, over, "pattern 6:"},
+		{"planned remainder", c4, PackedLanes + 1, PackedLanes, eight,
+			"concentrator: batch pattern 64: concentrator: 8 requests exceed capacity 4"},
+	} {
+		batch := make([][]bool, tc.size)
+		for i := range batch {
+			batch[i] = make([]bool, n)
+		}
+		batch[tc.bad] = tc.pattern
+		_, _, err := tc.c.ConcentrateBatch(batch, 2)
+		_, _, want := tc.c.ConcentrateBatchPlanned(batch, 2)
+		if err == nil || want == nil || err.Error() != want.Error() ||
+			!strings.Contains(err.Error(), tc.wantSubstr) {
+			t.Errorf("%s: ConcentrateBatch error = %v, planned error = %v", tc.name, err, want)
+		}
 	}
 }
 

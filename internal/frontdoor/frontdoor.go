@@ -548,7 +548,9 @@ func (fd *FrontDoor) run(t *tenant, j *job) {
 			res, err = fut.Wait(j.ctx)
 		}
 	}
-	j.fut.resolve(res, err)
+	// Count the dispatch before resolving the Future, so a caller that
+	// has seen its Future resolve also sees it in Stats and in the
+	// controller's window.
 	fd.mu.Lock()
 	t.running--
 	t.completed++
@@ -557,6 +559,7 @@ func (fd *FrontDoor) run(t *tenant, j *job) {
 	}
 	t.lastUse = time.Now()
 	fd.mu.Unlock()
+	j.fut.resolve(res, err)
 	// A finished dispatch may unblock a share-capped tenant or the
 	// closed-and-drained exit condition; wake everyone.
 	fd.cond.Broadcast()

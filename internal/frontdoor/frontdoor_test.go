@@ -386,6 +386,61 @@ func TestAdaptiveShareGrowthAndIdleDecay(t *testing.T) {
 	}
 }
 
+// TestStatsCountResolvedFutures pins the counter order of a dispatch: a
+// caller whose Future has resolved already sees its request in
+// Stats().Completed (and Failed), so a controller window read right after
+// a Wait is never stale. The first request pins the order directly: with
+// the scheduler lock held while the dispatch runs, the Future must not
+// resolve — the counters are updated under that lock first.
+func TestStatsCountResolvedFutures(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const n = 64
+	fd := New(testConfig(2, 16))
+	defer fd.Close()
+	release, held := holdFirst(fd)
+	if err := fd.Register("t", TenantSpec{N: n, Engine: concentrator.MuxMerger}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	f, err := fd.Submit(ctx, "t", permReq(n, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !held.Load() {
+		time.Sleep(time.Millisecond)
+	}
+	fd.mu.Lock()
+	close(release)
+	select {
+	case <-f.Done():
+		fd.mu.Unlock()
+		t.Fatal("Future resolved before the dispatch was counted")
+	case <-time.After(50 * time.Millisecond):
+	}
+	fd.mu.Unlock()
+
+	bad := make([]int, n) // right length, not a permutation: fails in routing
+	for i := 1; ; i++ {
+		if _, err := f.Wait(ctx); (err != nil) != (i%5 == 0) {
+			t.Fatalf("request %d: err = %v", i, err)
+		}
+		if st := fd.Stats(); st.Completed != int64(i) || st.Failed != int64(i/5) {
+			t.Fatalf("after request %d resolved: completed=%d failed=%d, want %d and %d",
+				i, st.Completed, st.Failed, i, i/5)
+		}
+		if i == 200 {
+			return
+		}
+		req := permReq(n, rng)
+		if (i+1)%5 == 0 {
+			req.Dest = bad
+		}
+		if f, err = fd.Submit(ctx, "t", req); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestCloseDrains pins the drain guarantee: every admitted Future
 // resolves across Close, and post-Close Register/Submit fail typed.
 func TestCloseDrains(t *testing.T) {

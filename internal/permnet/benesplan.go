@@ -169,20 +169,12 @@ func (bp *BenesPlan) Route(dest []int) ([]int, error) {
 
 // RouteBatch routes every destination assignment through the compiled
 // Beneš replay concurrently, using workers goroutines (≤ 0 means
-// GOMAXPROCS) on the shared batch executor — the same contract as
+// GOMAXPROCS) — the same planner.DriveBatch contract as
 // RoutePlan.RouteBatch, including fail-fast on the earliest malformed
-// request and the same packed auto-switch: batches at least one lane
-// group wide route through RoutePacked in planner.AutoWideLanes-wide
-// groups, with sub-MinPackedLanes remainders on the planned path.
-// Results are bit-for-bit identical either way.
+// request and the packed switch for batches at least one lane word
+// wide. Results are bit-for-bit identical either way.
 func (bp *BenesPlan) RouteBatch(dests [][]int, workers int) ([][]int, error) {
-	if len(dests) == 0 {
-		return nil, nil
-	}
-	if len(dests) >= PackedLanes {
-		return bp.RouteBatchWide(dests, workers, planner.AutoWideLanes(len(dests), workers))
-	}
-	return bp.RouteBatchPlanned(dests, workers)
+	return driveRoutes(bp, bp.n, dests, workers, 1, 0, bp.prog.Packable())
 }
 
 // RouteBatchWide is RouteBatch with an explicit lane-group width:
@@ -191,17 +183,10 @@ func (bp *BenesPlan) RouteBatch(dests [][]int, workers int) ([][]int, error) {
 // than MinPackedLanes routes planned. A replay program without a packed
 // form falls back to the planned pipeline for the whole batch.
 func (bp *BenesPlan) RouteBatchWide(dests [][]int, workers, groupLanes int) ([][]int, error) {
-	if groupLanes < PackedLanes || groupLanes > MaxPackedLanes || groupLanes%PackedLanes != 0 {
-		return nil, fmt.Errorf("permnet: RouteBatchWide: group width %d, want a multiple of %d up to %d",
-			groupLanes, PackedLanes, MaxPackedLanes)
+	if err := checkGroupLanes(groupLanes); err != nil {
+		return nil, err
 	}
-	if len(dests) == 0 {
-		return nil, nil
-	}
-	if _, err := bp.prog.Packed(1); err != nil {
-		return bp.RouteBatchPlanned(dests, workers)
-	}
-	return routeBatchPackedOn(bp.n, dests, workers, groupLanes, bp.RouteInto, bp.routePackedAt)
+	return driveRoutes(bp, bp.n, dests, workers, 1, groupLanes, bp.prog.Packable())
 }
 
 // RouteBatchPlanned is the per-request planned batch pipeline: every
@@ -210,7 +195,7 @@ func (bp *BenesPlan) RouteBatchWide(dests [][]int, workers, groupLanes int) ([][
 // and the baseline TestBenesPackedSpeedupFloor measures the packed
 // engine against.
 func (bp *BenesPlan) RouteBatchPlanned(dests [][]int, workers int) ([][]int, error) {
-	return routeBatchPlannedOn(bp.n, dests, workers, bp.RouteInto)
+	return driveRoutes(bp, bp.n, dests, workers, 1, 0, false)
 }
 
 // RoutePacked routes up to MaxPackedLanes destination assignments

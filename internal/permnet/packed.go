@@ -6,8 +6,8 @@
 // analysis, cache-blocked multi-word lane groups, and the two-stage
 // transpose load/extract — is the shared packed runner of
 // internal/planner; this file contributes only the permuter-specific
-// surface: per-lane permutation validation, the auto-switch policy of
-// RouteBatch, and the error messages of the batch contract.
+// surface: per-lane permutation validation and the error messages of the
+// batch contract; planner.DriveBatch decides when a batch packs.
 //
 // Throughput: one packed pass costs roughly live-plane word operations
 // per lane word (2 lg n − d planes at level d) where the planned path
@@ -19,7 +19,6 @@ package permnet
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"absort/internal/planner"
 )
@@ -49,22 +48,15 @@ const routeGrain = 4
 // error is reported — and err names the earliest offending request among
 // those attempted.
 //
-// Batches at least one lane group wide (≥ 64 assignments) automatically
-// switch to the SWAR engine: full groups route through RoutePacked, one
-// fused-plan replay per group — widened up to planner.WideWords×64
-// assignments when the batch keeps every worker busy anyway (see
-// planner.AutoWideLanes) — and a remainder narrower than MinPackedLanes
-// falls back to the planned path. Plans whose step stream has no packed
-// form (planner.ErrNotPackable) take the planned path for the whole
-// batch. Results are bit-for-bit identical either way.
+// planner.DriveBatch picks the path: batches at least one lane word wide
+// (≥ 64 assignments) route through the SWAR engine, one fused-plan
+// replay per lane group of planner.PackedGroup assignments, with a
+// remainder narrower than MinPackedLanes on the planned path. Plans
+// whose step stream has no packed form (planner.ErrNotPackable) take the
+// planned path for the whole batch. Results are bit-for-bit identical
+// either way.
 func (p *RoutePlan) RouteBatch(dests [][]int, workers int) ([][]int, error) {
-	if len(dests) == 0 {
-		return nil, nil
-	}
-	if len(dests) >= PackedLanes {
-		return p.RouteBatchWide(dests, workers, planner.AutoWideLanes(len(dests), workers))
-	}
-	return p.RouteBatchPlanned(dests, workers)
+	return driveRoutes(p, p.n, dests, workers, 1, 0, p.prog.Packable())
 }
 
 // RouteBatchWide is RouteBatch with an explicit lane-group width:
@@ -73,17 +65,10 @@ func (p *RoutePlan) RouteBatch(dests [][]int, workers int) ([][]int, error) {
 // than MinPackedLanes routes planned. Plans without a packed form fall
 // back to the planned pipeline for the whole batch.
 func (p *RoutePlan) RouteBatchWide(dests [][]int, workers, groupLanes int) ([][]int, error) {
-	if groupLanes < PackedLanes || groupLanes > MaxPackedLanes || groupLanes%PackedLanes != 0 {
-		return nil, fmt.Errorf("permnet: RouteBatchWide: group width %d, want a multiple of %d up to %d",
-			groupLanes, PackedLanes, MaxPackedLanes)
+	if err := checkGroupLanes(groupLanes); err != nil {
+		return nil, err
 	}
-	if len(dests) == 0 {
-		return nil, nil
-	}
-	if _, err := p.prog.Packed(1); err != nil {
-		return p.RouteBatchPlanned(dests, workers)
-	}
-	return p.routeBatchPacked(dests, workers, groupLanes)
+	return driveRoutes(p, p.n, dests, workers, 1, groupLanes, p.prog.Packable())
 }
 
 // RouteBatchPlanned is the per-request planned batch pipeline: every
@@ -92,76 +77,44 @@ func (p *RoutePlan) RouteBatchWide(dests [][]int, workers, groupLanes int) ([][]
 // packed threshold, and the baseline the packed engine's throughput
 // floor is measured against.
 func (p *RoutePlan) RouteBatchPlanned(dests [][]int, workers int) ([][]int, error) {
-	return routeBatchPlannedOn(p.n, dests, workers, p.RouteInto)
+	return driveRoutes(p, p.n, dests, workers, 1, 0, false)
 }
 
-// routeBatchPacked carves the batch into groupLanes-assignment lane
-// groups and routes every full group through one packed fused-plan
-// replay; a final remainder below MinPackedLanes routes per-request on
-// the planned path. Groups are distributed across workers exactly as the
-// planned pipeline distributes single assignments.
-func (p *RoutePlan) routeBatchPacked(dests [][]int, workers, groupLanes int) ([][]int, error) {
-	return routeBatchPackedOn(p.n, dests, workers, groupLanes, p.RouteInto, p.routePackedAt)
+// checkGroupLanes validates the explicit lane-group width of a
+// RouteBatchWide call.
+func checkGroupLanes(groupLanes int) error {
+	if groupLanes < PackedLanes || groupLanes > MaxPackedLanes || groupLanes%PackedLanes != 0 {
+		return fmt.Errorf("permnet: RouteBatchWide: group width %d, want a multiple of %d up to %d",
+			groupLanes, PackedLanes, MaxPackedLanes)
+	}
+	return nil
 }
 
-// routeBatchPlannedOn is the shared planned batch body: the fused radix
-// plan and the compiled Beneš replay have the exact same batch contract,
-// differing only in the per-request route.
-func routeBatchPlannedOn(n int, dests [][]int, workers int,
-	route func(out, dest []int) error) ([][]int, error) {
+// batchRouter is what driveRoutes routes a batch through: the
+// per-request route and the packed group route, which routes a slice of
+// assignments given its global batch offset and returns the global index
+// of the offending request alongside an error. The flat fused plan, the
+// compiled Beneš replay and the sharded plan implement it.
+type batchRouter interface {
+	RouteInto(out, dest []int) error
+	routePackedAt(out, dests [][]int, base int) (int, error)
+}
+
+// driveRoutes is the batch body the flat fused plan, the compiled Beneš
+// replay and the sharded plan share: one planner.DriveBatch call over
+// r's two routes. lanes is the packed lanes one assignment fills;
+// groupLanes > 0 pins the group width (the RouteBatchWide reference
+// paths).
+func driveRoutes(r batchRouter, n int, dests [][]int, workers, lanes, groupLanes int, packable bool) ([][]int, error) {
 	if len(dests) == 0 {
 		return nil, nil
 	}
 	out := makeRouteResults(len(dests), n)
-	var firstErr atomic.Pointer[planner.BatchErr]
-	planner.RunBatch(len(dests), workers, routeGrain, func(i int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		if err := route(out[i], dests[i]); err != nil {
-			planner.RecordBatchErr(&firstErr, i, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, fmt.Errorf("permnet: batch request %d: %w", e.I, e.Err)
-	}
-	return out, nil
-}
-
-// routeBatchPackedOn is the shared packed batch body: full lane groups go
-// through the plan's packed group route, a remainder below MinPackedLanes
-// through the per-request planned route.
-func routeBatchPackedOn(n int, dests [][]int, workers, groupLanes int,
-	route func(out, dest []int) error,
-	group func(out, dests [][]int, base int) (int, error)) ([][]int, error) {
-	out := makeRouteResults(len(dests), n)
-	groups := (len(dests) + groupLanes - 1) / groupLanes
-	var firstErr atomic.Pointer[planner.BatchErr]
-	planner.RunBatch(groups, workers, 1, func(g int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		lo := g * groupLanes
-		hi := min(lo+groupLanes, len(dests))
-		if hi-lo < MinPackedLanes {
-			for i := lo; i < hi; i++ {
-				if err := route(out[i], dests[i]); err != nil {
-					planner.RecordBatchErr(&firstErr, i, err)
-					return false
-				}
-			}
-			return true
-		}
-		if idx, err := group(out[lo:hi], dests[lo:hi], lo); err != nil {
-			planner.RecordBatchErr(&firstErr, idx, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, fmt.Errorf("permnet: batch request %d: %w", e.I, e.Err)
+	err := planner.DriveBatch(len(dests), workers, routeGrain, lanes, groupLanes, packable, "permnet: batch request",
+		func(i int) error { return r.RouteInto(out[i], dests[i]) },
+		func(lo, hi int) (int, error) { return r.routePackedAt(out[lo:hi], dests[lo:hi], lo) })
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -38,7 +38,6 @@ package permnet
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"absort/internal/concentrator"
 	"absort/internal/core"
@@ -196,7 +195,7 @@ func newShardedRoutePlan(n int, engine concentrator.Engine, w int) (*ShardedRout
 		return nil, err
 	}
 	p := &ShardedRoutePlan{n: n, m: m, w: w, engine: engine, cross: cross, sub: sub, sp: sp}
-	if _, perr := sub.prog.Packed(1); perr == nil && w <= MaxPackedLanes {
+	if sub.prog.Packable() && w <= MaxPackedLanes {
 		p.packed = true
 	}
 	p.gbMax = 1
@@ -427,48 +426,33 @@ func (p *ShardedRoutePlan) RoutePacked(out [][]int, dests [][]int) error {
 		}
 		return nil
 	}
-	for lo := 0; lo < lanes; lo += p.gbMax {
-		hi := min(lo+p.gbMax, lanes)
-		if _, err := p.routeShardedAt(out[lo:hi], dests[lo:hi], lo); err != nil {
-			return err
+	_, err := p.routePackedAt(out, dests, 0)
+	return err
+}
+
+// routePackedAt routes a run of assignments through packed sub-replays of
+// up to gbMax requests each, on the caller's goroutine, with the run's
+// global batch offset; it returns the global index of the offending
+// request alongside the error.
+func (p *ShardedRoutePlan) routePackedAt(out [][]int, dests [][]int, base int) (int, error) {
+	for lo := 0; lo < len(dests); lo += p.gbMax {
+		hi := min(lo+p.gbMax, len(dests))
+		if idx, err := p.routeShardedAt(out[lo:hi], dests[lo:hi], base+lo); err != nil {
+			return idx, err
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 // RouteBatch routes every destination assignment through the sharded
-// plan, workers goroutines wide (≤ 0 means GOMAXPROCS). When the packed
-// sub-replay is available, requests route in groups of up to gbMax per
-// replay — g·w SWAR lanes each, the wide multi-word runner — and
-// otherwise per request on the scalar composition. Results preserve
-// input order and match the flat plan bit-for-bit; a malformed
-// assignment fails the batch fast with err naming the earliest offending
-// request among those attempted.
+// plan, workers goroutines wide (≤ 0 means GOMAXPROCS), on the
+// planner.DriveBatch contract with w lanes per request: when the packed
+// sub-replay is available, lane groups of requests route g·w SWAR lanes
+// per replay through the wide multi-word runner (in sub-replays of at
+// most gbMax requests), and otherwise every request routes on its own.
+// Results preserve input order and match the flat plan bit-for-bit; a
+// malformed assignment fails the batch fast with err naming the earliest
+// offending request among those attempted.
 func (p *ShardedRoutePlan) RouteBatch(dests [][]int, workers int) ([][]int, error) {
-	if len(dests) == 0 {
-		return nil, nil
-	}
-	if !p.Packed() {
-		return routeBatchPlannedOn(p.n, dests, workers, p.RouteInto)
-	}
-	gb := p.gbMax
-	out := makeRouteResults(len(dests), p.n)
-	groups := (len(dests) + gb - 1) / gb
-	var firstErr atomic.Pointer[planner.BatchErr]
-	planner.RunBatch(groups, workers, 1, func(g int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		lo := g * gb
-		hi := min(lo+gb, len(dests))
-		if idx, err := p.routeShardedAt(out[lo:hi], dests[lo:hi], lo); err != nil {
-			planner.RecordBatchErr(&firstErr, idx, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, fmt.Errorf("permnet: batch request %d: %w", e.I, e.Err)
-	}
-	return out, nil
+	return driveRoutes(p, p.n, dests, workers, p.w, 0, p.Packed())
 }

@@ -126,6 +126,13 @@ type PackedScratch struct {
 	msk  []uint64 // per-step mask staging, 4×bw words
 }
 
+// Packable reports whether the program has a packed form: the "can pack"
+// flag batch executors hand to DriveBatch.
+func (p *Program) Packable() bool {
+	_, err := p.Packed(1)
+	return err == nil
+}
+
 // Packed returns the program's words×64-lane SWAR engine, building it on
 // first use and caching it per width (Programs are immutable, so engines
 // are shared safely). It returns a typed *ErrNotPackable — never a
@@ -140,18 +147,18 @@ func (p *Program) Packed(words int) (*Packed, error) {
 	if pp, ok := p.packed.Load(words); ok {
 		return pp.(*Packed), nil
 	}
-	if err := p.packable(); err != nil {
+	if err := p.checkPackable(); err != nil {
 		return nil, err
 	}
 	pp, _ := p.packed.LoadOrStore(words, newPacked(p, words))
 	return pp.(*Packed), nil
 }
 
-// packable is the compile-time packability scan: every operation of the
+// checkPackable is the compile-time packability scan: every operation of the
 // step stream must have a packed form. All current ops do, so this only
 // rejects step streams carrying opcodes this engine predates — the
 // typed-error contract that keeps the replay loop panic-free.
-func (p *Program) packable() error {
+func (p *Program) checkPackable() error {
 	for _, st := range p.steps {
 		switch st.Op {
 		case OpCmpSwap, OpFourIn, OpFourOut, OpShuffleCount, OpEndsSwap,

@@ -288,18 +288,6 @@ type Service struct {
 	spares   int
 	rotation [3][]Engine
 
-	// packed enables the concentrate burst fast path: drained groups of
-	// queued Concentrate requests ride one SWAR plan replay. Disabled for
-	// the Ranking engine (its single stable partition gains nothing from
-	// lane packing) and for the trivial n = 1 wire.
-	packed bool
-	// packedPerm enables the permute burst fast path: drained groups of
-	// queued Permute requests ride one packed fused-plan replay
-	// (permnet.RoutePacked). Unlike the concentrator, the permuter packs
-	// every engine — each radix level's rank runs lane-parallel — so only
-	// the trivial n = 1 wire disables it.
-	packedPerm bool
-
 	queue chan *task
 	quit  chan struct{} // closed by Close: wakes blocked submitters
 
@@ -376,8 +364,6 @@ func New(cfg Config) (*Service, error) {
 		checker:     verify.NewLaneChecker(cfg.N),
 		checkStride: strideFor(cfg.CheckFraction),
 		spares:      cfg.Spares,
-		packed:      planner.PackedProfitable(cfg.Engine) && cfg.N > 1,
-		packedPerm:  cfg.N > 1,
 		queue:       make(chan *task, cfg.QueueDepth),
 		quit:        make(chan struct{}),
 	}
@@ -530,30 +516,27 @@ func (s *Service) Close() {
 	s.workers.Wait()
 }
 
-// worker drains the admission queue until it is closed and empty. With
-// the matching packed fast path enabled, a Concentrate or Permute task
-// triggers a greedy non-blocking drain of further queued tasks of the
-// same kind so the group rides one SWAR plan replay — but only when the
-// queue holds enough to fill one (see enoughToPack); otherwise the task
-// routes alone and the queue is left to the other workers. Two fairness
-// rules keep a sustained single-kind stream from starving the other kinds:
-// the drain's other-kind tail executes BEFORE the burst's packed replay
-// (one scalar route delays the burst; a wide replay could expire the
-// tail's deadline), and after maxConsecBursts consecutive full-width
-// same-kind bursts the drain is capped at one lane word so other-kind
-// arrivals surface within PackedLanes tasks instead of burstLanes.
+// worker drains the admission queue until it is closed and empty. When
+// the live plan instance of a Concentrate or Permute task can ride the
+// packed replay (see packs), the task triggers a greedy non-blocking
+// drain of further queued tasks of the same kind so the group rides one
+// SWAR plan replay — but only when the queue holds enough to fill one
+// (see enoughToPack); otherwise the task routes alone and the queue is
+// left to the other workers. Two fairness rules keep a sustained
+// single-kind stream from starving the other kinds: the drain's
+// other-kind tail executes BEFORE the burst's packed replay (one scalar
+// route delays the burst; a wide replay could expire the tail's
+// deadline), and after maxConsecBursts consecutive full-width same-kind
+// bursts the drain is capped at one lane word so other-kind arrivals
+// surface within PackedLanes tasks instead of burstLanes.
 func (s *Service) worker() {
 	defer s.workers.Done()
 	var burst []*task
 	var marked [][]bool
 	var dests [][]int
-	if s.packed || s.packedPerm {
+	if s.cfg.N > 1 {
 		burst = make([]*task, 0, burstLanes)
-	}
-	if s.packed {
 		marked = make([][]bool, 0, burstLanes)
-	}
-	if s.packedPerm {
 		dests = make([][]int, 0, burstLanes)
 	}
 	lastKind := Kind(255) // kind of the previous burst; 255 = no streak
@@ -562,13 +545,8 @@ func (s *Service) worker() {
 		if s.testBeforeExec != nil {
 			s.testBeforeExec()
 		}
-		var kind Kind
-		switch {
-		case s.packed && t.req.Kind == Concentrate:
-			kind = Concentrate
-		case s.packedPerm && t.req.Kind == Permute:
-			kind = Permute
-		default:
+		kind := t.req.Kind
+		if !s.packs(kind) {
 			s.exec(t)
 			lastKind, consec = Kind(255), 0 // another kind ran: streak over
 			continue
@@ -591,11 +569,7 @@ func (s *Service) worker() {
 		if s.testOnBurst != nil {
 			s.testOnBurst(kind, len(burst))
 		}
-		if kind == Concentrate {
-			s.execConcentrateBurst(burst, marked)
-		} else {
-			s.execPermuteBurst(burst, dests)
-		}
+		s.execBurst(kind, burst, marked, dests)
 		switch {
 		case tail != nil || len(burst) < limit:
 			// Another kind ran, or the queue went idle mid-drain: no
@@ -607,6 +581,14 @@ func (s *Service) worker() {
 			lastKind, consec = kind, 1
 		}
 	}
+}
+
+// packs reports whether kind's tasks may drain into packed bursts: the
+// live plan instance of the kind can ride the packed replay (see
+// planInstance.packable), so the drain follows recovery onto another
+// engine. The trivial n = 1 wire never packs.
+func (s *Service) packs(kind Kind) bool {
+	return s.cfg.N > 1 && s.loadInst(kind).packable(kind)
 }
 
 // enoughToPack reports whether the queue holds enough tasks behind a
@@ -655,22 +637,27 @@ func (s *Service) drainKind(kind Kind, burst *[]*task, limit int) *task {
 	return nil
 }
 
-// execConcentrateBurst resolves a drained group of Concentrate tasks.
+// execBurst resolves a drained group of Concentrate or Permute tasks.
 // Groups at least MinPackedLanes wide route through one packed plan
 // replay; narrower groups take the per-request path (the packing
 // overhead would not pay for itself), as does any group whose current
 // plan instance cannot ride the packed replay — injected faults force
 // the scalar faulty path, a recovery fallback onto the Ranking engine
 // gains nothing from lane packing, and degraded (permuter-backed)
-// service has no concentrator plan at all. Each task is still
-// pre-checked individually — cancellation, deadline, and concentrator
-// capacity — so one dead or over-capacity request resolves alone with
-// its own error and never poisons its burst neighbours; the pre-checked
-// failures take the same scalar path exec would, producing identical
-// error messages.
-func (s *Service) execConcentrateBurst(burst []*task, marked [][]bool) {
-	inst := s.loadInst(Concentrate)
-	if len(burst) < concentrator.MinPackedLanes || !inst.packable(Concentrate) {
+// concentrate service has no concentrator plan at all. Each task is
+// still pre-checked individually — cancellation, deadline, and for
+// Concentrate the capacity — so one dead or over-capacity request
+// resolves alone with its own error and never poisons its burst
+// neighbours; the pre-checked failures take the same scalar path exec
+// would, producing identical error messages. A packed replay that still
+// fails re-routes the group per request, so each task gets its own
+// canonical result or error: for Permute this is reachable, since
+// admission validates only lengths and a non-permutation surfaces inside
+// RoutePacked. marked and dests are the worker's reusable request-slice
+// scratch.
+func (s *Service) execBurst(kind Kind, burst []*task, marked [][]bool, dests [][]int) {
+	inst := s.loadInst(kind)
+	if len(burst) < planner.MinPackedLanes || !inst.packable(kind) {
 		for _, t := range burst {
 			s.exec(t)
 		}
@@ -683,14 +670,14 @@ func (s *Service) execConcentrateBurst(burst []*task, marked [][]bool) {
 			s.resolve(t, Result{}, t.ctx.Err())
 		case !t.req.Deadline.IsZero() && !time.Now().Before(t.req.Deadline):
 			s.resolve(t, Result{}, ErrDeadlineExceeded)
-		case s.overCapacity(t.req.Marked):
+		case kind == Concentrate && s.overCapacity(t.req.Marked):
 			res, err := s.route(t.req) // canonical capacity error text
 			s.resolve(t, res, err)
 		default:
 			live = append(live, t)
 		}
 	}
-	if len(live) < concentrator.MinPackedLanes {
+	if len(live) < planner.MinPackedLanes {
 		for _, t := range live {
 			s.execRouted(t)
 		}
@@ -699,85 +686,32 @@ func (s *Service) execConcentrateBurst(burst []*task, marked [][]bool) {
 	n := s.cfg.N
 	flat := make([]int, len(live)*n)
 	perms := make([][]int, len(live))
-	counts := make([]int, len(live))
-	marked = marked[:0]
-	for i, t := range live {
+	for i := range live {
 		perms[i] = flat[i*n : (i+1)*n]
-		marked = append(marked, t.req.Marked)
 	}
-	if err := inst.conc.ConcentratePacked(perms, counts, marked); err != nil {
-		// Unreachable after the per-task pre-checks, but kept as a
-		// defensive fallback: resolve every task on the scalar path so
-		// each Future still gets its own result or error.
+	var counts []int
+	var err error
+	if kind == Concentrate {
+		counts = make([]int, len(live))
+		marked = marked[:0]
 		for _, t := range live {
-			s.execRouted(t)
+			marked = append(marked, t.req.Marked)
 		}
-		return
-	}
-	for i, t := range live {
-		t.packed = true
-		s.finish(t, inst, Result{Perm: perms[i], Count: counts[i]}, nil)
-	}
-}
-
-// execPermuteBurst resolves a drained group of Permute tasks. Groups at
-// least MinPackedLanes wide route through one packed fused-plan replay;
-// narrower groups take the per-request path (the packing overhead would
-// not pay for itself), as does any group whose current plan instance has
-// injected faults (the scalar faulty replay applies them). Each task is
-// still pre-checked individually — cancellation and deadline — so a dead
-// request resolves alone with its own error. Unlike the concentrate
-// burst, the packed-group fallback IS reachable: admission validates
-// only lengths, so a non-permutation destination assignment surfaces
-// inside RoutePacked — the group then re-routes per-request so each task
-// gets its own canonical result or error and a bad request never poisons
-// its burst neighbours.
-func (s *Service) execPermuteBurst(burst []*task, dests [][]int) {
-	inst := s.loadInst(Permute)
-	if len(burst) < permnet.MinPackedLanes || !inst.packable(Permute) {
-		for _, t := range burst {
-			s.exec(t)
-		}
-		return
-	}
-	live := burst[:0] // compact forward: reads stay ahead of writes
-	for _, t := range burst {
-		switch {
-		case t.ctx.Err() != nil:
-			s.resolve(t, Result{}, t.ctx.Err())
-		case !t.req.Deadline.IsZero() && !time.Now().Before(t.req.Deadline):
-			s.resolve(t, Result{}, ErrDeadlineExceeded)
-		default:
-			live = append(live, t)
-		}
-	}
-	if len(live) < permnet.MinPackedLanes {
-		for _, t := range live {
-			s.execRouted(t)
-		}
-		return
-	}
-	n := s.cfg.N
-	flat := make([]int, len(live)*n)
-	perms := make([][]int, len(live))
-	dests = dests[:0]
-	for i, t := range live {
-		perms[i] = flat[i*n : (i+1)*n]
-		dests = append(dests, t.req.Dest)
-	}
-	err := error(nil)
-	if inst.sharded != nil {
-		// Shard-parallel drain: the burst routes in groups of requests per
-		// wide replay, each request spanning its w shard lanes.
-		err = inst.sharded.RoutePacked(perms, dests)
+		err = inst.conc.ConcentratePacked(perms, counts, marked)
 	} else {
-		err = inst.perm.RoutePacked(perms, dests)
+		dests = dests[:0]
+		for _, t := range live {
+			dests = append(dests, t.req.Dest)
+		}
+		if inst.sharded != nil {
+			// Shard-parallel drain: the burst routes in groups of requests
+			// per wide replay, each request spanning its w shard lanes.
+			err = inst.sharded.RoutePacked(perms, dests)
+		} else {
+			err = inst.perm.RoutePacked(perms, dests)
+		}
 	}
 	if err != nil {
-		// Reachable: a destination assignment that is not a permutation
-		// fails the packed replay before any routing starts. Resolve every
-		// task on the scalar path so each Future gets its own result or its
-		// own canonical validation error.
 		for _, t := range live {
 			s.execRouted(t)
 		}
@@ -785,7 +719,11 @@ func (s *Service) execPermuteBurst(burst []*task, dests [][]int) {
 	}
 	for i, t := range live {
 		t.packed = true
-		s.finish(t, inst, Result{Perm: perms[i]}, nil)
+		res := Result{Perm: perms[i]}
+		if counts != nil {
+			res.Count = counts[i]
+		}
+		s.finish(t, inst, res, nil)
 	}
 }
 

@@ -21,7 +21,6 @@ package wordsort
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"absort/internal/bitvec"
 	"absort/internal/concentrator"
@@ -192,13 +191,12 @@ const sortBatchGrain = 2
 
 // SortBatch sorts many independent key sets through one compiled route
 // plan, distributed across workers goroutines (≤ 0 means GOMAXPROCS) by
-// the shared batch executor of internal/planner. Results preserve input
-// order and are identical to per-set Sort; result slices are carved out
-// of flat backing arrays.
+// planner.DriveBatch. Results preserve input order and are identical to
+// per-set Sort; result slices are carved out of flat backing arrays.
 //
-// Batches at least one lane group wide (≥ 64 key sets) switch to the
+// Batches at least one lane word wide (≥ 64 key sets) switch to the
 // packed composition pipeline: the batch splits into lane groups of
-// planner.AutoWideLanes width, and each group runs all w radix passes
+// planner.PackedGroup key sets, and each group runs all w radix passes
 // inside the permuter's SWAR engine without ever leaving bit-plane form —
 // the per-pass rank is the bit-sliced stable-split ladder
 // (planner.SplitFront), the route is one packed plan replay, and the
@@ -207,8 +205,10 @@ const sortBatchGrain = 2
 // permutation voids the identity-start plane-bound analysis). Only the
 // per-pass tag build and the final key gather touch scalar data. A plan
 // whose step stream has no packed form (planner.ErrNotPackable) falls
-// back to the per-set planned path. Results are bit-for-bit identical
-// either way.
+// back to the per-set planned path, and so do huge networks: the
+// whole-n packed path would compile the flat fused program sharding
+// exists to avoid, and each sharded SortInto already replays packed
+// shard lanes internally. Results are bit-for-bit identical either way.
 func (s *Sorter) SortBatch(keySets [][]uint64, workers int) ([][]uint64, [][]int, error) {
 	if len(keySets) == 0 {
 		return nil, nil, nil
@@ -227,83 +227,27 @@ func (s *Sorter) SortBatch(keySets [][]uint64, workers int) ([][]uint64, [][]int
 		outs[i] = flatK[i*s.n : (i+1)*s.n]
 		perms[i] = flatP[i*s.n : (i+1)*s.n]
 	}
-	// Huge networks never take the whole-n wide path: it would compile
-	// the flat fused program sharding exists to avoid, and each sharded
-	// SortInto already replays packed shard lanes internally.
-	wide := s.sharded == nil && len(keySets) >= permnet.PackedLanes && s.n >= 2
-	if wide {
-		if _, err := s.permute.Compile().Program().Packed(1); err != nil {
-			wide = false
-		}
+	var prog *planner.Program
+	if s.sharded == nil && s.n >= 2 {
+		prog = s.permute.Compile().Program()
 	}
-	if wide {
-		if err := s.sortBatchWide(outs, perms, keySets, workers); err != nil {
-			return nil, nil, err
-		}
-		return outs, perms, nil
-	}
-	var firstErr atomic.Pointer[planner.BatchErr]
-	planner.RunBatch(len(keySets), workers, sortBatchGrain, func(i int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		if err := s.SortInto(outs[i], perms[i], keySets[i]); err != nil {
-			planner.RecordBatchErr(&firstErr, i, err)
-			return false
-		}
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return nil, nil, fmt.Errorf("wordsort: batch set %d: %w", e.I, e.Err)
+	err := planner.DriveBatch(len(keySets), workers, sortBatchGrain, 1, 0, prog != nil && prog.Packable(), "wordsort: batch set",
+		func(i int) error { return s.SortInto(outs[i], perms[i], keySets[i]) },
+		func(lo, hi int) (int, error) {
+			// Key sets were validated up front and stable-split
+			// destinations are permutations, so a packed group cannot fail
+			// once the probe above found a packed form.
+			pp, err := prog.Packed((hi - lo + permnet.PackedLanes - 1) / permnet.PackedLanes)
+			if err != nil {
+				return lo, err
+			}
+			s.sortGroupWide(pp, outs[lo:hi], perms[lo:hi], keySets[lo:hi])
+			return 0, nil
+		})
+	if err != nil {
+		return nil, nil, err
 	}
 	return outs, perms, nil
-}
-
-// sortBatchWide carves the batch into lane groups and sorts each group
-// end-to-end in the packed engine; a final remainder below the packed
-// threshold sorts per-set on the planned path. Groups are distributed
-// across workers exactly as the planned pipeline distributes single
-// sets. Errors are impossible by construction — key sets were validated
-// up front and stable-split destinations are permutations — so the group
-// body is error-free; the per-set remainder keeps the fail-fast path for
-// defense.
-func (s *Sorter) sortBatchWide(outs [][]uint64, perms [][]int, keySets [][]uint64, workers int) error {
-	m := len(keySets)
-	prog := s.permute.Compile().Program()
-	groupLanes := planner.AutoWideLanes(m, workers)
-	groups := (m + groupLanes - 1) / groupLanes
-	var firstErr atomic.Pointer[planner.BatchErr]
-	planner.RunBatch(groups, workers, 1, func(g int) bool {
-		if firstErr.Load() != nil {
-			return false // poisoned batch: abort instead of burning workers
-		}
-		lo := g * groupLanes
-		hi := min(lo+groupLanes, m)
-		if hi-lo < permnet.MinPackedLanes {
-			for i := lo; i < hi; i++ {
-				if err := s.SortInto(outs[i], perms[i], keySets[i]); err != nil {
-					planner.RecordBatchErr(&firstErr, i, err)
-					return false
-				}
-			}
-			return true
-		}
-		lanes := hi - lo
-		words := (lanes + permnet.PackedLanes - 1) / permnet.PackedLanes
-		pp, err := prog.Packed(words)
-		if err != nil {
-			// Unreachable: SortBatch probed packability before switching
-			// wide. Kept on the fail-fast path for defense.
-			planner.RecordBatchErr(&firstErr, lo, err)
-			return false
-		}
-		s.sortGroupWide(pp, outs[lo:hi], perms[lo:hi], keySets[lo:hi])
-		return true
-	})
-	if e := firstErr.Load(); e != nil {
-		return fmt.Errorf("wordsort: batch set %d: %w", e.I, e.Err)
-	}
-	return nil
 }
 
 // sortGroupWide sorts one lane group of key sets entirely inside the
